@@ -157,9 +157,12 @@ func main() {
 	case "autoupdate":
 		err = scenarioAutoUpdate(o)
 	case "faults":
-		err = scenarioFaults(*seed)
+		err = scenarioSweep(fmt.Sprintf("# fault injection (seed %#x): rejections and completion failures vs bounded retry", *seed),
+			"fault-recovery", func() (*experiments.Result, error) { return experiments.RunFaultInjectionSeeded(*seed) })
 	case "lossy":
-		err = scenarioLossy(*seed)
+		s := seedOr(*seed, experiments.LossySeed)
+		err = scenarioSweep(fmt.Sprintf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC", s),
+			"lossy-wire", func() (*experiments.Result, error) { return experiments.RunLossyWireSeeded(s) })
 	case "contention":
 		err = scenarioContention(*senders, *size, o)
 	case "incast":
@@ -465,24 +468,26 @@ func scenarioAutoUpdate(o *obs) error {
 	return nil
 }
 
-func scenarioFaults(seed uint64) error {
-	fmt.Printf("# fault injection (seed %#x): rejections and completion failures vs bounded retry\n", seed)
-	run := func() (*experiments.Result, string, error) {
-		res, err := experiments.RunFaultInjectionSeeded(seed)
-		if err != nil {
-			return nil, "", err
-		}
+// scenarioSweep runs a seeded experiment sweep — faults (E12: injected
+// device rejections and completion failures vs bounded retry) or lossy
+// (E13: drop/corrupt/dup/reorder vs the NIC's reliability sublayer) —
+// and prints its tables, checks and notes. The sweep runs twice and the
+// rendered tables must match bit-exactly: faults and loss included, the
+// run is a pure function of the seed.
+func scenarioSweep(title, what string, run func() (*experiments.Result, error)) error {
+	fmt.Println(title)
+	render := func(res *experiments.Result) string {
 		var sb strings.Builder
 		for _, t := range res.Tables {
 			t.Render(&sb)
 		}
-		return res, sb.String(), nil
+		return sb.String()
 	}
-	res, out1, err := run()
+	res, err := experiments.Prove(func(int) (*experiments.Result, error) { return run() }, render, 1)
 	if err != nil {
 		return err
 	}
-	fmt.Print(out1)
+	fmt.Print(render(res))
 	fmt.Println()
 	for _, c := range res.Checks {
 		mark := "PASS"
@@ -498,76 +503,9 @@ func scenarioFaults(seed uint64) error {
 	for _, note := range res.Notes {
 		fmt.Printf("  note: %s\n", note)
 	}
-
-	// The whole sweep — fault pattern included — must be a pure function
-	// of the seed: rerun it and compare the rendered tables bit-exactly.
-	_, out2, err := run()
-	if err != nil {
-		return err
-	}
-	if out1 != out2 {
-		return fmt.Errorf("same seed produced different runs:\n--- first\n%s--- second\n%s", out1, out2)
-	}
 	fmt.Println("\nsecond run with the same seed reproduced every row exactly")
 	if !res.Passed() {
-		return fmt.Errorf("fault-recovery checks failed")
-	}
-	return nil
-}
-
-// scenarioLossy runs the lossy-wire sweep (E13): a two-node cluster
-// whose backplane drops, corrupts, duplicates and reorders packets at
-// seeded rates while the NIC's reliability sublayer (seq/ACK/CRC/
-// retransmit/credits) recovers underneath. Like the faults scenario it
-// runs the sweep twice and insists the rendered tables match
-// bit-exactly — loss included, the run is a pure function of the seed.
-func scenarioLossy(seed uint64) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.LossySeed // remap the faults-scenario default
-	}
-	fmt.Printf("# lossy wire (seed %#x): drop/corrupt/dup/reorder vs seq/ACK/retransmit/CRC\n", seed)
-	run := func() (*experiments.Result, string, error) {
-		res, err := experiments.RunLossyWireSeeded(seed)
-		if err != nil {
-			return nil, "", err
-		}
-		var sb strings.Builder
-		for _, t := range res.Tables {
-			t.Render(&sb)
-		}
-		return res, sb.String(), nil
-	}
-	res, out1, err := run()
-	if err != nil {
-		return err
-	}
-	fmt.Print(out1)
-	fmt.Println()
-	for _, c := range res.Checks {
-		mark := "PASS"
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		fmt.Printf("  [%s] %s", mark, c.Name)
-		if c.Detail != "" {
-			fmt.Printf(" — %s", c.Detail)
-		}
-		fmt.Println()
-	}
-	for _, note := range res.Notes {
-		fmt.Printf("  note: %s\n", note)
-	}
-
-	_, out2, err := run()
-	if err != nil {
-		return err
-	}
-	if out1 != out2 {
-		return fmt.Errorf("same seed produced different runs:\n--- first\n%s--- second\n%s", out1, out2)
-	}
-	fmt.Println("\nsecond run with the same seed reproduced every row exactly")
-	if !res.Passed() {
-		return fmt.Errorf("lossy-wire checks failed")
+		return fmt.Errorf("%s checks failed", what)
 	}
 	return nil
 }
@@ -578,9 +516,9 @@ func scenarioLossy(seed uint64) error {
 // rate — the fabric is the bottleneck and goodput flattens at the
 // capacity of the victim router's inbound links — and once with ample
 // links, where the receiver's bus is the bottleneck instead. The
-// limited run then repeats, same arguments at a different worker
-// count, and both fingerprints must reproduce bit-exactly: contention
-// is resolved in merge order at barriers, not host arrival order.
+// limited run is then proved: a rerun and a run at a different worker
+// count must reproduce its digest bit-exactly, because contention is
+// resolved in merge order at barriers, not host arrival order.
 func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	kind, err := interconnect.ParseKind(topology)
 	if err != nil {
@@ -594,7 +532,16 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	fmt.Printf("# incast on a routed %d-node %s: %d senders × %d × 4096 B into node 0\n",
 		nodes, kind, nodes-1, messages)
 
-	limited, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, workers, o.registry())
+	otherWorkers := 4
+	if workers == otherWorkers {
+		otherWorkers = 1
+	}
+	reg := o.registry()
+	limited, err := experiments.Prove(func(w int) (*experiments.IncastRun, error) {
+		r, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, w, reg)
+		reg = nil // observe the first run only
+		return r, err
+	}, func(r *experiments.IncastRun) uint64 { return r.Digest }, workers, otherWorkers)
 	if err != nil {
 		return err
 	}
@@ -615,91 +562,67 @@ func scenarioIncast(nodes int, topology string, workers int, o *obs) error {
 	if limited.GoodputBPC < ample.GoodputBPC {
 		fmt.Println("the throttled fabric is the bottleneck: extra offered load becomes link queueing, not goodput")
 	}
-
-	// Same arguments, different worker count: the routed fabric must be
-	// a pure function of the workload, not of host scheduling.
-	otherWorkers := 4
-	if workers == otherWorkers {
-		otherWorkers = 1
-	}
-	again, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, workers, nil)
-	if err != nil {
-		return err
-	}
-	if limited.Fingerprint != again.Fingerprint {
-		return fmt.Errorf("same arguments produced different runs: %s vs %s",
-			limited.Fingerprint, again.Fingerprint)
-	}
-	wide, err := experiments.RunIncast(nodes, kind, experiments.ScaleLimitedBPC, messages, otherWorkers, nil)
-	if err != nil {
-		return err
-	}
-	if limited.Fingerprint != wide.Fingerprint {
-		return fmt.Errorf("workers %d and %d diverge: %s vs %s",
-			workers, otherWorkers, limited.Fingerprint, wide.Fingerprint)
-	}
-	fmt.Printf("\nfingerprint %s reproduced exactly: rerun and a %d-worker run\n",
-		limited.Fingerprint, otherWorkers)
+	fmt.Printf("\nfingerprint %016x reproduced exactly: rerun and a %d-worker run\n",
+		limited.Digest, otherWorkers)
 	return nil
 }
 
-// scenarioServe runs one open-loop serving trial: internal/loadgen
-// offers a seeded Poisson schedule of PIO, UDMA and multi-page traffic
-// at a fixed rate across per-destination FIFO flows, and the SLO
-// readout (achieved rate, goodput, per-class sojourn percentiles)
-// prints at the end. The trial then reruns with the same seed — once
-// serially, once on four cluster workers — and all three fingerprints
-// must match: the serving subsystem is a pure function of its seed at
-// any worker count.
-func scenarioServe(seed uint64, nodes int, rate float64, o *obs) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.ServeSeed // remap the faults-scenario default
-	}
-	if nodes < 2 {
-		nodes = 2
+// scenarioTrial runs one open-loop loadgen trial (the serve, churn and
+// chaos scenarios differ only in tc) with the observation registry
+// attached, prints title(res), the per-class SLO table and post(res) —
+// the scenario's own readout lines, returning an error when the trial
+// broke a scenario check — and proves the trial a pure function of its
+// seed: a 4-worker run and a serial rerun must reproduce its
+// fingerprint.
+func scenarioTrial(tc loadgen.TrialConfig, title func(*loadgen.Result) string, post func(*loadgen.Result) error, o *obs) error {
+	if tc.Nodes < 2 {
+		tc.Nodes = 2
 	}
 	costs := machine.SHRIMP1996()
 	o.setCosts(costs)
-	run := func(workers int, reg *telemetry.Registry) (*loadgen.Result, error) {
-		return loadgen.RunTrial(loadgen.TrialConfig{
-			Config:  loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate},
-			Workers: workers,
-			Metrics: reg,
-		})
-	}
-	res, err := run(1, o.registry())
+	reg := o.registry()
+	res, err := experiments.Prove(func(w int) (*loadgen.Result, error) {
+		tc.Workers, tc.Metrics = w, reg
+		reg = nil // observe the first run only
+		return loadgen.RunTrial(tc)
+	}, (*loadgen.Result).Fingerprint, 1, 4)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# open-loop serving (seed %#x): %d nodes, %d messages across %d flows\n",
-		seed, nodes, res.Messages, res.Cfg.Flows)
+	fmt.Println(title(res))
 	res.WriteTable(os.Stdout, costs)
-	fmt.Printf("order violations %d, retries %d, credit stalls %d, retransmits %d\n",
-		res.OrderViolations, res.Retries, res.CreditStalls, res.Retransmits)
-	if res.AchievedRate < 0.9*res.OfferedRate {
-		fmt.Println("the offered rate is past the saturation knee: queues grew and sojourn tails absorbed the backlog")
-	} else {
-		fmt.Println("the system kept up with the offered rate (below the saturation knee)")
-	}
-
-	again, err := run(1, nil)
-	if err != nil {
+	if err := post(res); err != nil {
 		return err
-	}
-	if res.Fingerprint() != again.Fingerprint() {
-		return fmt.Errorf("same seed produced different trials: %016x vs %016x",
-			res.Fingerprint(), again.Fingerprint())
-	}
-	wide, err := run(4, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != wide.Fingerprint() {
-		return fmt.Errorf("workers 1 and 4 diverge: %016x vs %016x",
-			res.Fingerprint(), wide.Fingerprint())
 	}
 	fmt.Printf("\nfingerprint %016x reproduced exactly: serial rerun and a 4-worker run\n", res.Fingerprint())
 	return nil
+}
+
+// printRecovery prints the trial's ordering and recovery counters.
+func printRecovery(res *loadgen.Result) {
+	fmt.Printf("order violations %d, retries %d, credit stalls %d, retransmits %d\n",
+		res.OrderViolations, res.Retries, res.CreditStalls, res.Retransmits)
+}
+
+// scenarioServe offers a seeded Poisson schedule of PIO, UDMA and
+// multi-page traffic at a fixed rate across per-destination FIFO flows;
+// the SLO readout is achieved rate, goodput and per-class sojourn
+// percentiles.
+func scenarioServe(seed uint64, nodes int, rate float64, o *obs) error {
+	seed = seedOr(seed, experiments.ServeSeed)
+	tc := loadgen.TrialConfig{Config: loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate}}
+	return scenarioTrial(tc, func(res *loadgen.Result) string {
+		return fmt.Sprintf("# open-loop serving (seed %#x): %d nodes, %d messages across %d flows",
+			seed, res.Cfg.Nodes, res.Messages, res.Cfg.Flows)
+	}, func(res *loadgen.Result) error {
+		printRecovery(res)
+		if res.AchievedRate < 0.9*res.OfferedRate {
+			fmt.Println("the offered rate is past the saturation knee: queues grew and sojourn tails absorbed the backlog")
+		} else {
+			fmt.Println("the system kept up with the offered rate (below the saturation knee)")
+		}
+		return nil
+	}, o)
 }
 
 // scenarioChurn runs the connection-churn workload: a live population
@@ -707,127 +630,71 @@ func scenarioServe(seed uint64, nodes int, rate float64, o *obs) error {
 // taking its slot), one NIPT entry per flow, against a bounded on-board
 // NIPT cache over the host-memory backing table, with idle reliability
 // state reclaimed at lockstep barriers. The readout shows what the
-// cache costs — misses, evictions, refill cycles, sojourn tails — and
-// proves the trial bit-exact across a rerun and a 4-worker run.
+// cache costs — misses, evictions, refill cycles, sojourn tails.
 func scenarioChurn(seed uint64, nodes int, rate float64, capacity int, o *obs) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.ChurnSeed // remap the faults-scenario default
-	}
-	if nodes < 2 {
-		nodes = 2
-	}
-	costs := machine.SHRIMP1996()
-	o.setCosts(costs)
-	run := func(workers int, reg *telemetry.Registry) (*loadgen.Result, error) {
-		return loadgen.RunTrial(loadgen.TrialConfig{
-			Config:           loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate, Churn: true},
-			Workers:          workers,
-			NIPTCapacity:     capacity,
-			NIPTRefillJitter: 64,
-			IdleReclaimAge:   150_000,
-			Metrics:          reg,
-		})
-	}
-	res, err := run(1, o.registry())
-	if err != nil {
-		return err
+	seed = seedOr(seed, experiments.ChurnSeed)
+	tc := loadgen.TrialConfig{
+		Config:           loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate, Churn: true},
+		NIPTCapacity:     capacity,
+		NIPTRefillJitter: 64,
+		IdleReclaimAge:   150_000,
 	}
 	capLabel := fmt.Sprint(capacity)
 	if capacity == 0 {
 		capLabel = "unbounded"
 	}
-	fmt.Printf("# connection churn (seed %#x): %d nodes, %d messages, %d live flows, NIPT capacity %s\n",
-		seed, nodes, res.Messages, res.Cfg.ActiveFlows, capLabel)
-	res.WriteTable(os.Stdout, costs)
-	fmt.Printf("order violations %d, retries %d, credit stalls %d, retransmits %d\n",
-		res.OrderViolations, res.Retries, res.CreditStalls, res.Retransmits)
-	if capacity > 0 && res.NIPTMisses == 0 {
-		fmt.Println("the cache held the whole working set: no refills were ever paid")
-	}
-
-	again, err := run(1, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != again.Fingerprint() {
-		return fmt.Errorf("same seed produced different trials: %016x vs %016x",
-			res.Fingerprint(), again.Fingerprint())
-	}
-	wide, err := run(4, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != wide.Fingerprint() {
-		return fmt.Errorf("workers 1 and 4 diverge: %016x vs %016x",
-			res.Fingerprint(), wide.Fingerprint())
-	}
-	fmt.Printf("\nfingerprint %016x reproduced exactly: serial rerun and a 4-worker run\n", res.Fingerprint())
-	return nil
+	return scenarioTrial(tc, func(res *loadgen.Result) string {
+		return fmt.Sprintf("# connection churn (seed %#x): %d nodes, %d messages, %d live flows, NIPT capacity %s",
+			seed, res.Cfg.Nodes, res.Messages, res.Cfg.ActiveFlows, capLabel)
+	}, func(res *loadgen.Result) error {
+		printRecovery(res)
+		if capacity > 0 && res.NIPTMisses == 0 {
+			fmt.Println("the cache held the whole working set: no refills were ever paid")
+		}
+		return nil
+	}, o)
 }
 
-// scenarioChaos runs the open-loop serving trial under a seeded node
-// crash–restart schedule (cluster.CrashPlan): whole nodes power off at
-// lockstep barriers, peers fail fast to a typed DeliveryError, and the
-// rebooted node's serving complement respawns from the host-memory
-// progress state. The availability readout — crashes, downtime, dip
-// depth, time-to-recover — prints with the per-class SLO table, then
-// the trial reruns serially and on four workers and all fingerprints
-// must match: chaos included, the trial is a pure function of its seed.
+// scenarioChaos runs the serving trial under a seeded node crash–restart
+// schedule (cluster.CrashPlan): whole nodes power off at lockstep
+// barriers, peers fail fast to a typed DeliveryError, and the rebooted
+// node's serving complement respawns from the host-memory progress
+// state. The availability readout — crashes, downtime, dip depth,
+// time-to-recover — prints with the SLO table; the schedule must fire
+// and every message must be delivered or failed typed.
 func scenarioChaos(seed uint64, nodes int, rate float64, o *obs) error {
-	if seed == experiments.FaultSeed {
-		seed = experiments.ChaosSeed // remap the faults-scenario default
+	seed = seedOr(seed, experiments.ChaosSeed)
+	tc := loadgen.TrialConfig{
+		Config:        loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate},
+		RetxTimeout:   6_000,
+		RelMaxRetries: 3,
+		Crash: cluster.CrashPlan{Seed: seed, MTBF: 400_000,
+			MTTR: 150_000, FirstAt: 150_000, MaxCrashes: 2},
 	}
-	if nodes < 2 {
-		nodes = 2
-	}
-	costs := machine.SHRIMP1996()
-	o.setCosts(costs)
-	run := func(workers int, reg *telemetry.Registry) (*loadgen.Result, error) {
-		return loadgen.RunTrial(loadgen.TrialConfig{
-			Config:        loadgen.Config{Nodes: nodes, Seed: seed, Rate: rate},
-			Workers:       workers,
-			RetxTimeout:   6_000,
-			RelMaxRetries: 3,
-			Crash: cluster.CrashPlan{Seed: seed, MTBF: 400_000,
-				MTTR: 150_000, FirstAt: 150_000, MaxCrashes: 2},
-			Metrics: reg,
-		})
-	}
-	res, err := run(1, o.registry())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# crash–restart chaos (seed %#x): %d nodes, %d messages under a seeded crash schedule\n",
-		seed, nodes, res.Messages)
-	res.WriteTable(os.Stdout, costs)
-	if res.Crashes == 0 {
-		return fmt.Errorf("the crash schedule never fired inside the trial's span; offer more load (-rate, default messages) or rerun with another -seed")
-	}
-	if res.Delivered+res.Failed != res.Messages {
-		return fmt.Errorf("accounting across crashes: %d delivered + %d failed != %d offered",
-			res.Delivered, res.Failed, res.Messages)
-	}
-	fmt.Printf("crash ledgers: %d B abandoned on crashed senders, %d B crash-dropped on the wire/boards\n",
-		res.CrashAbandonedBytes, res.CrashDroppedBytes)
+	return scenarioTrial(tc, func(res *loadgen.Result) string {
+		return fmt.Sprintf("# crash–restart chaos (seed %#x): %d nodes, %d messages under a seeded crash schedule",
+			seed, res.Cfg.Nodes, res.Messages)
+	}, func(res *loadgen.Result) error {
+		if res.Crashes == 0 {
+			return fmt.Errorf("the crash schedule never fired inside the trial's span; offer more load (-rate, default messages) or rerun with another -seed")
+		}
+		if res.Delivered+res.Failed != res.Messages {
+			return fmt.Errorf("accounting across crashes: %d delivered + %d failed != %d offered",
+				res.Delivered, res.Failed, res.Messages)
+		}
+		fmt.Printf("crash ledgers: %d B abandoned on crashed senders, %d B crash-dropped on the wire/boards\n",
+			res.CrashAbandonedBytes, res.CrashDroppedBytes)
+		return nil
+	}, o)
+}
 
-	again, err := run(1, nil)
-	if err != nil {
-		return err
+// seedOr remaps the -seed default (the faults scenario's seed) to the
+// scenario's own default seed.
+func seedOr(seed, def uint64) uint64 {
+	if seed == experiments.FaultSeed {
+		return def
 	}
-	if res.Fingerprint() != again.Fingerprint() {
-		return fmt.Errorf("same seed produced different trials: %016x vs %016x",
-			res.Fingerprint(), again.Fingerprint())
-	}
-	wide, err := run(4, nil)
-	if err != nil {
-		return err
-	}
-	if res.Fingerprint() != wide.Fingerprint() {
-		return fmt.Errorf("workers 1 and 4 diverge: %016x vs %016x",
-			res.Fingerprint(), wide.Fingerprint())
-	}
-	fmt.Printf("\nfingerprint %016x reproduced exactly: serial rerun and a 4-worker run\n", res.Fingerprint())
-	return nil
+	return seed
 }
 
 // scenarioFuzz runs seeded randomized scenarios under simcheck's
@@ -835,9 +702,7 @@ func scenarioChaos(seed uint64, nodes int, rate float64, o *obs) error {
 // simulation checker. A failure prints the violation list, the event
 // trail and the one-command go-test repro.
 func scenarioFuzz(seed uint64, count, workers int) error {
-	if seed == experiments.FaultSeed {
-		seed = 1 // the faults-scenario default is not a useful fuzz start
-	}
+	seed = seedOr(seed, 1)
 	if count < 1 {
 		count = 1
 	}

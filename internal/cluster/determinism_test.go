@@ -14,9 +14,8 @@ import (
 )
 
 // runDeterministicScenario runs a fixed multi-node workload and returns
-// a fingerprint of everything observable: final clocks, kernel stats
-// and NIC stats.
-func runDeterministicScenario(t *testing.T) string {
+// the finished cluster's Digest.
+func runDeterministicScenario(t *testing.T) uint64 {
 	t.Helper()
 	const nodes = 3
 	c := cluster.New(cluster.Config{
@@ -53,15 +52,7 @@ func runDeterministicScenario(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	fp := ""
-	for i := 0; i < nodes; i++ {
-		ks := c.Nodes[i].Kernel.Stats()
-		ns := c.NICs[i].Stats()
-		fp += fmt.Sprintf("n%d clock=%d ctx=%d inv=%d pf=%d sent=%d recv=%d|",
-			i, c.Nodes[i].Clock.Now(), ks.ContextSwitches, ks.Invals,
-			ks.PageFaults, ns.BytesSent, ns.BytesReceived)
-	}
-	return fp
+	return c.Digest()
 }
 
 // TestSimulationIsDeterministic checks DESIGN.md §6's guarantee: the
@@ -71,7 +62,7 @@ func TestSimulationIsDeterministic(t *testing.T) {
 	a := runDeterministicScenario(t)
 	b := runDeterministicScenario(t)
 	if a != b {
-		t.Fatalf("two identical runs diverged:\n  %s\n  %s", a, b)
+		t.Fatalf("two identical runs diverged: digest %016x vs %016x", a, b)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"shrimp/internal/addr"
@@ -15,9 +14,10 @@ import (
 )
 
 // runFaultedScenario drives a 3-node ring whose NICs sit behind
-// per-node fault injectors, recovering with SendRetry, and returns a
-// fingerprint of everything observable.
-func runFaultedScenario(t *testing.T) (fp string, injected uint64) {
+// per-node fault injectors, recovering with SendRetry, and returns the
+// finished cluster's Digest (with the per-node delivery outcomes folded
+// in) and the total faults injected.
+func runFaultedScenario(t *testing.T) (digest, injected uint64) {
 	t.Helper()
 	const nodes = 3
 	c := cluster.New(cluster.Config{
@@ -79,12 +79,8 @@ func runFaultedScenario(t *testing.T) (fp string, injected uint64) {
 		}
 		rej, fail := c.Faulty[i].Injected()
 		injected += rej + fail
-		ks := c.Nodes[i].Kernel.Stats()
-		fp += fmt.Sprintf("n%d clock=%d ok=%d x=%d rej=%d fail=%d dmafail=%d sent=%d|",
-			i, c.Nodes[i].Clock.Now(), delivered[i], exhausted[i],
-			rej, fail, ks.DMAFailures, c.NICs[i].Stats().BytesSent)
 	}
-	return fp, injected
+	return c.Digest(delivered, exhausted), injected
 }
 
 // TestFaultInjectedClusterIsDeterministic extends the determinism
@@ -98,6 +94,6 @@ func TestFaultInjectedClusterIsDeterministic(t *testing.T) {
 		t.Fatal("no faults fired; the scenario exercises nothing")
 	}
 	if a != b || injectedA != injectedB {
-		t.Fatalf("two identical fault-injected runs diverged:\n  %s\n  %s", a, b)
+		t.Fatalf("two identical fault-injected runs diverged: digest %016x vs %016x", a, b)
 	}
 }

@@ -17,9 +17,8 @@ import (
 
 // runParallelWorkload runs a fixed 8-node ring workload (senders,
 // compute burners, a lossy wire with the reliability layer fighting it)
-// at the given worker count and fingerprints everything observable:
-// per-node clocks, kernel stats, NIC stats, backplane launch totals,
-// fault-plan ledger, and the full telemetry snapshot.
+// at the given worker count and returns the finished cluster's Digest
+// followed by the full telemetry snapshot.
 func runParallelWorkload(t *testing.T, workers int) string {
 	t.Helper()
 	const nodes = 8
@@ -66,29 +65,16 @@ func runParallelWorkload(t *testing.T, workers int) string {
 	}
 	c.PublishRollup()
 
-	fp := ""
-	for i := 0; i < nodes; i++ {
-		ks := c.Nodes[i].Kernel.Stats()
-		ns := c.NICs[i].Stats()
-		fp += fmt.Sprintf("n%d clock=%d ctx=%d inv=%d pf=%d sent=%d recv=%d retx=%d acks=%d|",
-			i, c.Nodes[i].Clock.Now(), ks.ContextSwitches, ks.Invals,
-			ks.PageFaults, ns.BytesSent, ns.BytesReceived, ns.Retransmits, ns.AcksSent)
+	if pkts, bytes, _, _ := c.Backplane.Stats(); pkts == 0 || bytes == 0 {
+		t.Fatalf("workload sent no traffic (pkts=%d bytes=%d): digest would be vacuous", pkts, bytes)
 	}
-	pkts, bytes, rp, rb := c.Backplane.Stats()
-	if pkts == 0 || bytes == 0 {
-		t.Fatalf("workload sent no traffic (pkts=%d bytes=%d): fingerprint would be vacuous", pkts, bytes)
-	}
-	fp += fmt.Sprintf("wire pkts=%d bytes=%d retx=%d retxb=%d fs=%+v|",
-		pkts, bytes, rp, rb, c.Backplane.FaultStats())
-	fp += fmt.Sprintf("metrics=%+v", *reg.Snapshot())
-	return fp
+	return fmt.Sprintf("digest=%016x metrics=%+v", c.Digest(), *reg.Snapshot())
 }
 
 // TestParallelWorkersBitExact is the tentpole invariant: the simulation
 // is a pure function of its configuration, not of the host worker
-// count. Every observable — clocks, scheduler decisions, retransmits,
-// the fault ledger, the telemetry snapshot — must be byte-identical at
-// workers 1, 2, 4 and 8.
+// count. The cluster Digest and the telemetry snapshot must be
+// byte-identical at workers 1, 2, 4 and 8.
 func TestParallelWorkersBitExact(t *testing.T) {
 	ref := runParallelWorkload(t, 1)
 	for _, w := range []int{2, 4, 8} {

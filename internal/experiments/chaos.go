@@ -198,21 +198,9 @@ func RunChaosSeeded(seed uint64) (*Result, error) {
 
 	// Determinism: the heaviest schedule re-run bit-exactly, serially and
 	// on four workers.
-	heavy := trials[4]
-	again, err := chaosTrial(seed, chaosPoints[4], 1)
-	if err != nil {
-		return nil, err
-	}
-	wide, err := chaosTrial(seed, chaosPoints[4], 4)
-	if err != nil {
-		return nil, err
-	}
-	res.check("same seed reproduces the chaos trial exactly",
-		heavy.Fingerprint() == again.Fingerprint(),
-		"%016x vs %016x", heavy.Fingerprint(), again.Fingerprint())
-	res.check("workers 1 and 4 produce identical chaos trials",
-		heavy.Fingerprint() == wide.Fingerprint(),
-		"%016x vs %016x", heavy.Fingerprint(), wide.Fingerprint())
+	prove(res, "same seed reproduces the chaos trial exactly at workers 1 and 4", func(w int) (*loadgen.Result, error) {
+		return chaosTrial(seed, chaosPoints[4], w)
+	}, (*loadgen.Result).Fingerprint, 1, 4)
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("seed %#x; crashes drawn exp(MTBF=%d) from %d, applied at lockstep barriers", seed, chaosMTBF, chaosFirstAt),

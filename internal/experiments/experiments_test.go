@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,4 +75,31 @@ func TestResultHelpers(t *testing.T) {
 		t.Fatalf("detail = %q", r.Checks[1].Detail)
 	}
 	_ = os.Stdout
+}
+
+// TestProveNamesDivergentRun: a run whose key differs only at workers 4
+// must fail the proof with an error naming workers 4, and runs whose
+// keys all agree pass with the first run's result.
+func TestProveNamesDivergentRun(t *testing.T) {
+	var ran []int
+	run := func(w int) (int, error) {
+		ran = append(ran, w)
+		if w == 4 {
+			return 1, nil
+		}
+		return 0, nil
+	}
+	self := func(k int) int { return k }
+	_, err := Prove(run, self, 1, 2, 4, 8)
+	if err == nil || !strings.Contains(err.Error(), "workers 4 ") {
+		t.Fatalf("Prove = %v, want an error naming workers 4", err)
+	}
+	ran = nil
+	got, err := Prove(run, self, 1, 2, 8)
+	if err != nil || got != 0 {
+		t.Fatalf("Prove = %d, %v; want 0, nil", got, err)
+	}
+	if want := []int{1, 2, 8, 1}; !slices.Equal(ran, want) {
+		t.Fatalf("ran worker counts %v, want %v (each once, then a rerun at the first)", ran, want)
+	}
 }

@@ -221,8 +221,10 @@ func RunFaultInjectionSeeded(seed uint64) (*Result, error) {
 		worst.Recovered > 0, "%d messages recovered at rate %.2f", worst.Recovered, worst.Rate)
 
 	// Determinism: the sweep's fault pattern is a pure function of the
-	// seed, so a re-run must reproduce the worst-rate trial bit-exactly.
-	again, err := runFaultTrial(worst.Rate, seed, cleanSend)
+	// seed, so reruns must reproduce the worst-rate trial bit-exactly.
+	again, err := Prove(func(int) (*faultTrial, error) {
+		return runFaultTrial(worst.Rate, seed, cleanSend)
+	}, faultFingerprint, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -263,7 +263,11 @@ func RunLossyWireSeeded(seed uint64) (*Result, error) {
 		"p99 %.1f µs at %.0f%% drop vs %.1f µs clean",
 		worst.Costs.Micros(worst.P99), 100*worst.Rate, clean.Costs.Micros(clean.P99))
 
-	again, err := runLossTrial(worst.Rate, seed)
+	// Determinism: loss included, reruns must reproduce the worst-rate
+	// trial bit-exactly.
+	again, err := Prove(func(int) (*lossTrial, error) {
+		return runLossTrial(worst.Rate, seed)
+	}, lossyFingerprint, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"time"
 
@@ -195,7 +194,7 @@ func runSpeedupCurveSeries(res *Result, sc speedupCase, workers []int, tbl *stat
 }
 
 // parallelSpeedupRun executes one case at the given worker count and
-// returns (simulation fingerprint, host wall-clock, barrier rounds).
+// returns (cluster digest in hex, host wall-clock, barrier rounds).
 func parallelSpeedupRun(sc speedupCase, workers int) (string, time.Duration, uint64, error) {
 	cfg := cluster.Config{
 		Nodes:   sc.nodes,
@@ -264,19 +263,12 @@ func parallelSpeedupRun(sc speedupCase, workers int) (string, time.Duration, uin
 		}
 	}
 
-	h := fnv.New64a()
-	for i := 0; i < sc.nodes; i++ {
-		ks := c.Nodes[i].Kernel.Stats()
-		ns := c.NICs[i].Stats()
-		fmt.Fprintf(h, "n%d clock=%d kstats=%+v nic=%+v|", i, c.Nodes[i].Clock.Now(), ks, ns)
-	}
-	pkts, bytes, rp, rb := c.Backplane.Stats()
+	pkts, bytes, _, _ := c.Backplane.Stats()
 	if !sc.lossy && bytes != uint64(sc.nodes*sc.messages*sc.size) {
 		return "", 0, 0, fmt.Errorf("wire carried %d bytes, want %d", bytes, sc.nodes*sc.messages*sc.size)
 	}
 	if sc.lossy && pkts == 0 {
 		return "", 0, 0, fmt.Errorf("lossy run sent no traffic; fingerprint would be vacuous")
 	}
-	fmt.Fprintf(h, "net:%d:%d:%d:%d fault=%+v", pkts, bytes, rp, rb, c.Backplane.FaultStats())
-	return fmt.Sprintf("%016x", h.Sum64()), wall, c.Rounds(), nil
+	return fmt.Sprintf("%016x", c.Digest()), wall, c.Rounds(), nil
 }

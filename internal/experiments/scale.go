@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/interconnect"
@@ -53,15 +52,15 @@ type scaleCase struct {
 
 // scaleRun is what one case measures.
 type scaleRun struct {
-	fingerprint string
-	bytes       uint64
-	elapsed     sim.Cycles
-	goodput     float64 // aggregate payload bytes per simulated cycle
-	hotBusy     uint64  // busiest link's busy cycles
-	hotFrac     float64 // busiest link's busy fraction of elapsed
-	waitCycles  uint64  // total cycles packets queued on links
-	peakQueue   uint64  // deepest link FIFO backlog anywhere
-	linksUsed   int
+	digest     uint64
+	bytes      uint64
+	elapsed    sim.Cycles
+	goodput    float64 // aggregate payload bytes per simulated cycle
+	hotBusy    uint64  // busiest link's busy cycles
+	hotFrac    float64 // busiest link's busy fraction of elapsed
+	waitCycles uint64  // total cycles packets queued on links
+	peakQueue  uint64  // deepest link FIFO backlog anywhere
+	linksUsed  int
 }
 
 // scaleTopo builds the 8×8 declaration at the given per-link capacity
@@ -226,39 +225,14 @@ func RunScaleOut() (*Result, error) {
 
 	// --- determinism: worker equivalence and run-twice --------------------
 
-	fpCase := scaleCase{
-		name:     "incast_mesh_limited_fp",
-		topo:     scaleTopo(interconnect.KindMesh, scaleLimitedBPC),
-		workload: "incast",
-		messages: 6,
-	}
-	var baseFP string
-	identical := true
-	for _, w := range []int{1, 2, 4, 8} {
-		sc := fpCase
-		sc.workers = w
-		r, err := runScaleCase(sc)
-		if err != nil {
-			return nil, fmt.Errorf("fingerprint workers=%d: %w", w, err)
-		}
-		if w == 1 {
-			baseFP = r.fingerprint
-		} else if r.fingerprint != baseFP {
-			identical = false
-		}
-	}
-	res.check("contention resolution is bit-identical at workers 1/2/4/8", identical,
-		"64-node incast fingerprints must match; base %s", baseFP[:16])
-
-	sc := fpCase
-	sc.workers = 4
-	again, err := runScaleCase(sc)
-	if err != nil {
-		return nil, fmt.Errorf("rerun: %w", err)
-	}
-	res.check("same seed, same fabric: run-twice bit-exact",
-		again.fingerprint == baseFP,
-		"rerun fingerprint %s vs %s", again.fingerprint[:16], baseFP[:16])
+	prove(res, "contention resolution is bit-identical at workers 1/2/4/8 and on a rerun", func(w int) (*scaleRun, error) {
+		return runScaleCase(scaleCase{
+			topo:     scaleTopo(interconnect.KindMesh, scaleLimitedBPC),
+			workload: "incast",
+			messages: 6,
+			workers:  w,
+		})
+	}, func(r *scaleRun) uint64 { return r.digest }, 1, 2, 4, 8)
 
 	res.metric("fabric_links_used_incast", float64(mi.linksUsed))
 	res.metric("incast_wait_cycles", float64(mi.waitCycles))
@@ -271,8 +245,8 @@ func RunScaleOut() (*Result, error) {
 }
 
 // runScaleCase builds the 64-node cluster, wires the workload's send
-// windows, runs it to completion and folds the outcome — including the
-// per-link occupancy ledger — into a fingerprint.
+// windows, runs it to completion and reads back goodput, the per-link
+// occupancy ledger and the cluster digest.
 func runScaleCase(sc scaleCase) (*scaleRun, error) {
 	nodes := sc.topo.Nodes
 	c := cluster.New(cluster.Config{
@@ -384,14 +358,9 @@ func runScaleCase(sc scaleCase) (*scaleRun, error) {
 		r.goodput = float64(bytes) / float64(r.elapsed)
 	}
 
-	h := fnv.New64a()
-	for i := 0; i < nodes; i++ {
-		fmt.Fprintf(h, "n%d clock=%d nic=%+v|", i, c.Nodes[i].Clock.Now(), c.NICs[i].Stats())
-	}
 	ls := c.Backplane.LinkStats()
 	r.linksUsed = len(ls)
 	for _, l := range ls {
-		fmt.Fprintf(h, "L%d>%d:%d:%d:%d:%d|", l.From, l.To, l.BusyCycles, l.WaitCycles, l.Packets, l.PeakQueue)
 		if l.BusyCycles > r.hotBusy {
 			r.hotBusy = l.BusyCycles
 		}
@@ -403,22 +372,22 @@ func runScaleCase(sc scaleCase) (*scaleRun, error) {
 	if r.elapsed > 0 {
 		r.hotFrac = float64(r.hotBusy) / float64(r.elapsed)
 	}
-	r.fingerprint = fmt.Sprintf("%016x", h.Sum64())
+	r.digest = c.Digest()
 	return r, nil
 }
 
 // IncastRun is the readout of one standalone incast run — the
 // cmd/shrimpsim `-scenario incast` face of the e18 machinery.
 type IncastRun struct {
-	Fingerprint string
-	Bytes       uint64
-	Elapsed     sim.Cycles
-	GoodputBPC  float64 // aggregate payload bytes per simulated cycle
-	HotBusy     uint64  // busiest link's busy cycles
-	HotFrac     float64 // busiest link's busy fraction of elapsed
-	WaitCycles  uint64  // total cycles packets queued on links
-	PeakQueue   uint64  // deepest link FIFO backlog anywhere
-	LinksUsed   int
+	Digest     uint64 // cluster.Digest of the finished run
+	Bytes      uint64
+	Elapsed    sim.Cycles
+	GoodputBPC float64 // aggregate payload bytes per simulated cycle
+	HotBusy    uint64  // busiest link's busy cycles
+	HotFrac    float64 // busiest link's busy fraction of elapsed
+	WaitCycles uint64  // total cycles packets queued on links
+	PeakQueue  uint64  // deepest link FIFO backlog anywhere
+	LinksUsed  int
 }
 
 // RunIncast drives every node but node 0 to push `messages` page-sized
@@ -426,7 +395,7 @@ type IncastRun struct {
 // kind, with every link at linkBPC bytes/cycle (0 = the host-interface
 // rate, so the receiver bus is the bottleneck instead of the fabric).
 // The width is the near-square default. Identical arguments produce an
-// identical Fingerprint at any worker count.
+// identical Digest at any worker count.
 func RunIncast(nodes int, kind interconnect.Kind, linkBPC float64, messages, workers int, reg *telemetry.Registry) (*IncastRun, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("incast needs at least 2 nodes (got %d)", nodes)
@@ -444,15 +413,15 @@ func RunIncast(nodes int, kind interconnect.Kind, linkBPC float64, messages, wor
 		return nil, err
 	}
 	return &IncastRun{
-		Fingerprint: r.fingerprint,
-		Bytes:       r.bytes,
-		Elapsed:     r.elapsed,
-		GoodputBPC:  r.goodput,
-		HotBusy:     r.hotBusy,
-		HotFrac:     r.hotFrac,
-		WaitCycles:  r.waitCycles,
-		PeakQueue:   r.peakQueue,
-		LinksUsed:   r.linksUsed,
+		Digest:     r.digest,
+		Bytes:      r.bytes,
+		Elapsed:    r.elapsed,
+		GoodputBPC: r.goodput,
+		HotBusy:    r.hotBusy,
+		HotFrac:    r.hotFrac,
+		WaitCycles: r.waitCycles,
+		PeakQueue:  r.peakQueue,
+		LinksUsed:  r.linksUsed,
 	}, nil
 }
 

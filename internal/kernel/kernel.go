@@ -363,7 +363,9 @@ func (k *Kernel) Shutdown() {
 			p.state = procReady
 		}
 	}
-	// Drive remaining processes to their kill points.
+	// Drive remaining processes to their kill points. One that had never
+	// run starts here and may block before reaching one (a first Sleep):
+	// make it ready again so its next resume unwinds it.
 	for {
 		p := k.nextReady()
 		if p == nil {
@@ -372,6 +374,8 @@ func (k *Kernel) Shutdown() {
 		k.current = p
 		if p.runSlice() == yieldExit {
 			k.reap(p)
+		} else {
+			p.state = procReady
 		}
 	}
 }

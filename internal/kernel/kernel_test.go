@@ -875,6 +875,21 @@ func TestShutdownKillsBlockedProcesses(t *testing.T) {
 	n.Kernel.Shutdown() // must not hang; Cleanup will call it again
 }
 
+// TestShutdownUnwindsNeverRunBlockingProcess covers a process that never
+// ran and whose first call blocks: Shutdown starts it to kill it, and
+// it must still unwind instead of staying parked (leaking its goroutine
+// and everything the goroutine references).
+func TestShutdownUnwindsNeverRunBlockingProcess(t *testing.T) {
+	n, _ := newNode(t, machine.Config{})
+	n.Kernel.Spawn("sleeper", func(p *kernel.Proc) {
+		p.Sleep(1000)
+	})
+	n.Kernel.Shutdown()
+	if !n.Kernel.AllExited() {
+		t.Fatal("a never-run process that blocked on its first call survived Shutdown")
+	}
+}
+
 func TestNoUDMAMachine(t *testing.T) {
 	n := machine.New(0, machine.Config{NoUDMA: true})
 	buf := device.NewBuffer("buf", 4, 0, 0)

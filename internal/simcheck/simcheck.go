@@ -17,7 +17,6 @@ package simcheck
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"shrimp/internal/kernel"
@@ -71,8 +70,9 @@ type Report struct {
 	// violation — the compact repro context a builder reads first.
 	Trail     []trace.Event
 	TrailNode int
-	// Fingerprint digests final clocks and hardware/kernel counters;
-	// two runs of the same seed must produce the same fingerprint.
+	// Fingerprint is the final cluster.Digest with the scratch devices'
+	// counts folded in; two runs of the same seed must produce the same
+	// fingerprint.
 	Fingerprint uint64
 	// TraceSummaries holds each node's trace.Summary at end of run —
 	// per-kind lifetime event counts, compared across worker counts by
@@ -208,18 +208,13 @@ func Sweep(first uint64, count, workers int, opts Options) []*Report {
 	})
 }
 
-// fingerprint digests final simulated time and the counters of every
-// layer; any divergence between two runs of one seed shows up here.
+// fingerprint is the cluster digest with every node's scratch-device
+// transfer counts folded in (the scratch devices sit outside the
+// cluster); any divergence between two runs of one seed shows up here.
 func (s *scenario) fingerprint() uint64 {
-	h := fnv.New64a()
-	for i, n := range s.cl.Nodes {
-		fmt.Fprintf(h, "n%d clock=%d kstats=%+v ustats=%+v nic=%+v",
-			i, n.Clock.Now(), n.Kernel.Stats(), n.UDMA.Stats(), s.cl.NICs[i].Stats())
-		w, r := s.scratch[i].Counts()
-		fmt.Fprintf(h, " scratch=%d/%d", w, r)
+	counts := make([][2]uint64, len(s.scratch))
+	for i, d := range s.scratch {
+		counts[i][0], counts[i][1] = d.Counts()
 	}
-	p, by, rp, rb := s.cl.Backplane.Stats()
-	fmt.Fprintf(h, " net=%d/%d/%d/%d fault=%+v crash=%+v", p, by, rp, rb,
-		s.cl.Backplane.FaultStats(), s.cl.CrashStats())
-	return h.Sum64()
+	return s.cl.Digest(counts)
 }
